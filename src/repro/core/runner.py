@@ -59,12 +59,10 @@ class RunConfig:
     rearm_mode:
         Completion re-arming strategy of the device
         (:data:`repro.gpu.device.REARM_MODES`): ``"incremental"``
-        (default), the reference ``"full"`` re-arm-everything mode, or
-        ``"vectorised"`` (the structure-of-arrays settle core with a
-        single sentinel completion event; requires numpy).  All three
-        produce bit-identical traces; ``"full"`` exists for equivalence
-        tests and as the engine benchmark baseline, ``"vectorised"`` wins
-        in the ceiling-bound (aggregate-cap saturated) regime.
+        (default, re-arms only kernels whose rate moved) or the reference
+        ``"full"`` re-arm-everything mode.  Both produce bit-identical
+        traces; ``"full"`` is the oracle for the equivalence tests and
+        the engine churn benchmark.
     arrival:
         Arrival process driving releases: a spec string resolved through
         the arrivals registry (``"poisson"``, ``"mmpp:burst=6"``, ...),

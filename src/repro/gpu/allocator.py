@@ -19,23 +19,6 @@ and progress rate.  The model (DESIGN.md section 4):
 Rates are in *single-SM work-seconds per wall second*, i.e. the composite
 speedup of the stage at its effective share, degraded by the efficiency
 terms.
-
-**Structure-of-arrays layout (the vectorised settle core).**  Under
-``GpuDevice(rearm="vectorised")`` the same model runs as whole-array
-passes over a flat kernel table (:class:`repro.gpu.table.KernelTable`):
-one fixed slot per ``(context, stream index)`` pair — contexts in device
-order, streams in index order, so slot order equals the scalar resident
-iteration order — holding parallel numpy arrays for remaining work,
-remaining setup, published rate and share, rate revision, the cached
-intra-context (water-filled) share, the cached speedup-curve value and
-co-location factor, and the per-slot completion anchor ``(armed_time,
-stamp)``.  Stage (1) still runs through :func:`intra_context_shares` —
-the scalar function below, invoked only for contexts whose residency
-moved — while stages (2)-(4) are array expressions whose order-sensitive
-sums use ``np.cumsum`` so every float matches this module's scalar loops
-bit for bit.  :meth:`repro.gpu.table.KernelTable.allocate` is the
-vectorised twin of :func:`compute_allocation`; change one only in
-lockstep with the other.
 """
 
 from __future__ import annotations
@@ -118,9 +101,8 @@ def intra_context_shares(
     knee of the curve (the 90%-of-peak point), not a hard architectural
     limit, so over-granting wastes SMs rather than violating a constraint.
     The behaviour is pinned by a regression test
-    (``tests/gpu/test_allocator.py::TestLeftoverSpread``) because the
-    vectorised settle core reuses this function verbatim — changing the
-    spread changes every mode's traces together or not at all.
+    (``tests/gpu/test_allocator.py::TestLeftoverSpread``) because every
+    trace and golden number depends on it.
 
     The result never exceeds ``nominal_sms`` in total.
     """
@@ -169,8 +151,8 @@ class WaterfillCache:
     solution as ``(input position, share)`` pairs **in the original
     insertion order**.  Replay rebuilds the dict in that same order with
     the same floats, so downstream order-sensitive consumers — notably
-    ``sum(shares.values())`` in the scalar allocator — see bit-identical
-    results; the cache is invisible in every trace.
+    ``sum(shares.values())`` in :func:`compute_allocation` — see
+    bit-identical results; the cache is invisible in every trace.
 
     Keys are value tuples (no ``id()``), so object lifetime cannot alias
     entries.  The table is cleared wholesale past :attr:`MAX_ENTRIES` — a

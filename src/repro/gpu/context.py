@@ -12,14 +12,13 @@ A context owns
 Dispatch order follows the paper: the highest non-empty priority level
 first, earliest absolute deadline first within a level.
 
-**Scheduler-layer fast path (PR 9).**  The online phase queries this layer
-on every release and every settle — ``queued_count`` / ``queue_empty`` /
+**Incremental accounting.**  The online phase queries this layer on every
+release and every settle — ``queued_count`` / ``queue_empty`` /
 ``backlog_work`` / ``estimated_finish_time`` for SGPRS's context
 assignment, ``free_streams`` for stream picking, ``dispatch_ready`` at
-every device change point.  All of those used to be per-call scans over
-the queues and streams (O(queued) each, paid O(contexts) times per
-release), which profiling showed dominating vectorised runs.  The default
-``accounting="fast"`` mode instead maintains the answers incrementally:
+every device change point.  Answering those with per-call scans over the
+queues and streams costs O(queued) each, paid O(contexts) times per
+release, so the context maintains the answers incrementally instead:
 
 * per-level **live counters** and aggregate **backlog accumulators**
   (queued single-SM work; queued ETA seconds at the context's nominal
@@ -30,32 +29,22 @@ release), which profiling showed dominating vectorised runs.  The default
   the same revision the device uses to skip allocation passes — and
   rebuilt at most once per residency change instead of once per call;
 * a **batched** ``dispatch_ready`` that fills every free slot of a level
-  in one pass (highest level first) instead of restarting from the top
-  after each attach.  Because dispatching only ever *consumes* streams, a
-  level found blocked stays blocked for the rest of the pass, so the
-  batched walk dispatches exactly the stages the restart-scan did — but
-  without popping and re-queueing blocked stages.  That also fixes an EDF
-  FIFO bug: the old scan re-enqueued a blocked stage under a fresh
-  sequence number, letting an equal-deadline peer that arrived later
-  leapfrog it within the same settle;
+  in one pass (highest level first).  Dispatching only ever *consumes*
+  streams, so a level found blocked stays blocked for the rest of the
+  pass; blocked stages are never popped, which keeps their EDF FIFO rank
+  among equal deadlines by construction;
 * **tombstone compaction** in the per-level EDF heaps, mirroring
   :class:`repro.sim.engine.SimulationEngine`'s majority-compaction rule
   (rebuild when tombstones outnumber live entries), so aborted stages
   stop occupying memory and pop time under heavy shedding.
 
-``accounting="scan"`` keeps the historical per-call scans (and the
-restart-scan dispatch loop, seq-preserving) as a frozen perf baseline for
-``benchmarks/test_bench_engine.py``; it is not used by any scheduler.
-Both modes maintain the incremental state (it is O(1) per transition), so
-the ``stat_*`` observability counters mean the same thing in each.
-
-Float caveat, deliberate: the fast accumulators produce the same values a
-scan would *up to summation order* — an accumulator that adds and
-subtracts contributions is not bit-identical to re-summing the survivors.
-The estimates feed SGPRS placement heuristics only, all three device
-re-arm modes share this code (so cross-mode trace equivalence is
-unaffected), and the accumulators are reset to exactly 0.0 whenever the
-queues drain, bounding drift.
+Float caveat, deliberate: the accumulators produce the same values a scan
+would *up to summation order* — an accumulator that adds and subtracts
+contributions is not bit-identical to re-summing the survivors.  The
+estimates feed SGPRS placement heuristics only, both device re-arm modes
+share this code (so cross-mode trace equivalence is unaffected), and the
+accumulators are reset to exactly 0.0 whenever the queues drain, bounding
+drift.
 """
 
 from __future__ import annotations
@@ -73,10 +62,6 @@ _QUEUE_SEQ = itertools.count()
 _LEVELS_DESC: Tuple[PriorityLevel, ...] = tuple(
     sorted(PriorityLevel, reverse=True)
 )
-
-#: Accounting modes: ``"fast"`` (incremental counters/caches, the default)
-#: and ``"scan"`` (per-call scans — the frozen pre-PR-9 perf baseline).
-ACCOUNTING_MODES: Tuple[str, ...] = ("fast", "scan")
 
 
 class SimContext:
@@ -97,11 +82,6 @@ class SimContext:
         behaviour real stream priorities exhibit (priorities order work
         distribution, they do not reserve slots).  ``False`` gives the
         strict interpretation; the ablation benchmark compares both.
-    accounting:
-        ``"fast"`` (default) answers occupancy/backlog queries from
-        incrementally maintained state; ``"scan"`` re-scans queues and
-        streams on every call (the historical behaviour, kept as the
-        benchmark baseline).  See the module docstring.
     """
 
     #: Per-level EDF heaps smaller than this are never compacted
@@ -115,19 +95,12 @@ class SimContext:
         high_streams: int = 2,
         low_streams: int = 2,
         allow_stream_borrowing: bool = True,
-        accounting: str = "fast",
     ) -> None:
         if nominal_sms <= 0:
             raise ValueError(f"nominal_sms must be positive, got {nominal_sms}")
-        if accounting not in ACCOUNTING_MODES:
-            raise ValueError(
-                f"accounting must be one of {ACCOUNTING_MODES}, "
-                f"got {accounting!r}"
-            )
         self.context_id = context_id
         self.nominal_sms = nominal_sms
         self.allow_stream_borrowing = allow_stream_borrowing
-        self.accounting = accounting
         self.streams: List[CudaStream] = []
         for index in range(high_streams):
             self.streams.append(CudaStream(index, StreamClass.HIGH, owner=self))
@@ -152,7 +125,7 @@ class SimContext:
             StreamClass.LOW: [],
         }
         self._free_all: List[CudaStream] = []
-        # Incremental queue accounting (maintained in both modes).
+        # Incremental queue accounting.
         self._live: Dict[PriorityLevel, int] = {level: 0 for level in PriorityLevel}
         self._live_total = 0
         self._tombstones: Dict[PriorityLevel, int] = {
@@ -171,18 +144,13 @@ class SimContext:
         #: used by reconfiguration policies (naive pays to change it).
         self.configured_task: Optional[str] = None
         # Observability counters (deterministic; the scheduler-layer
-        # benchmark gates on ratios between the two accounting modes).
+        # benchmark gates on them).
         #: Accounting queries answered (queued_count/queue_empty/
         #: backlog_work/estimated_finish_time).
         self.stat_acct_queries = 0
-        #: Queue entries walked while answering them (0 on the fast path).
-        self.stat_scan_elems = 0
-        #: Free-stream list constructions (per call in scan mode; per
-        #: residency change in fast mode).
+        #: Free-stream list constructions (at most one per residency
+        #: change).
         self.stat_free_builds = 0
-        #: Blocked stages popped and re-queued by the scan-mode dispatch
-        #: loop (the fast batched dispatch never re-queues).
-        self.stat_requeues = 0
         #: Tombstone-dropping EDF heap rebuilds performed.
         self.stat_compactions = 0
 
@@ -269,19 +237,6 @@ class SimContext:
     def queued_count(self, level: Optional[PriorityLevel] = None) -> int:
         """Stages waiting for a stream (optionally at one level)."""
         self.stat_acct_queries += 1
-        if self.accounting == "scan":
-            if level is not None:
-                self.stat_scan_elems += len(self._queues[level])
-                return sum(
-                    1 for _, _, k in self._queues[level] if not k.aborted
-                )
-            self.stat_scan_elems += sum(len(q) for q in self._queues.values())
-            return sum(
-                1
-                for queue in self._queues.values()
-                for _, _, k in queue
-                if not k.aborted
-            )
         if level is not None:
             return self._live[level]
         return self._live_total
@@ -311,12 +266,11 @@ class SimContext:
         object replaces it on the next residency change, so held references
         stay stable snapshots).
 
-        The stream-index ordering is load-bearing: the vectorised settle
-        core (:class:`repro.gpu.table.KernelTable`) assigns one fixed
-        table slot per ``(context, stream index)`` pair and relies on this
-        iteration order matching slot order, so its ``cumsum``-based
-        aggregate sums accumulate in exactly the sequence the scalar
-        allocator's loops do (bit-identical traces across re-arm modes).
+        The stream-index ordering is load-bearing: the allocator's float
+        sums and the device's re-arm loop (which hands out same-timestamp
+        tie-break stamps) both walk this list, so a fixed, state-determined
+        order keeps runs reproducible and the incremental and full re-arm
+        modes bit-identical.
         """
         if self._resident_cache_rev != self.residency_rev:
             self._resident_cache = [
@@ -350,18 +304,9 @@ class SimContext:
     ) -> List[CudaStream]:
         """Idle streams, optionally filtered by hardware class.
 
-        Fast mode returns the cached occupancy list (read-only — a fresh
-        list replaces it on the next residency change); scan mode builds
-        a fresh list per call, as the historical code did.
+        Returns the cached occupancy list (read-only — a fresh list
+        replaces it on the next residency change).
         """
-        if self.accounting == "scan":
-            self.stat_free_builds += 1
-            return [
-                s
-                for s in self.streams
-                if not s.busy
-                and (stream_class is None or s.stream_class is stream_class)
-            ]
         self._refresh_free_cache()
         if stream_class is None:
             return self._free_all
@@ -383,15 +328,12 @@ class SimContext:
         an idle stream of its preferred hardware class, falling back to the
         other class when borrowing is enabled.
 
-        The fast path fills all free slots of a level in one batched pass:
+        All free slots of a level are filled in one batched pass:
         dispatching only consumes streams, so once a level is blocked (no
         stream its stages may use) it stays blocked for the remainder of
-        the pass, and the restart-from-the-top loop of the historical scan
-        dispatch is equivalent but redundant.  Blocked stages are never
-        popped, so their EDF FIFO position is preserved by construction.
+        the pass.  Blocked stages are never popped, so their EDF FIFO
+        position is preserved by construction.
         """
-        if self.accounting == "scan":
-            return self._dispatch_ready_scan()
         if self._live_total == 0:
             return []
         dispatched: List[StageKernel] = []
@@ -407,61 +349,17 @@ class SimContext:
                 dispatched.append(kernel)
         return dispatched
 
-    def _dispatch_ready_scan(self) -> List[StageKernel]:
-        """The historical restart-scan dispatch loop (benchmark baseline).
-
-        Pops one stage at a time and restarts from the highest level after
-        every attach; a blocked stage is pushed back under its *original*
-        sequence number, so EDF FIFO tie-breaks match the fast path (the
-        pre-PR-9 code used a fresh sequence number here, letting an
-        equal-deadline later arrival leapfrog a blocked stage).
-        """
-        dispatched: List[StageKernel] = []
-        progressing = True
-        while progressing:
-            progressing = False
-            for level in _LEVELS_DESC:
-                entry = self._pop_live_entry(level)
-                if entry is None:
-                    continue
-                stream = self._pick_stream(level)
-                if stream is None:
-                    # No slot for this level; put the stage back (keeping
-                    # its seq) and try the next (lower) level, which may
-                    # target the other stream class.
-                    heapq.heappush(self._queues[level], entry)
-                    self.stat_requeues += 1
-                    continue
-                kernel = entry[2]
-                self._unregister_queued(kernel)
-                stream.attach(kernel)
-                dispatched.append(kernel)
-                progressing = True
-                break  # restart from the highest level
-        return dispatched
-
-    def _pop_live_entry(
-        self, level: PriorityLevel
-    ) -> Optional[Tuple[float, int, StageKernel]]:
-        """Pop the earliest live heap entry of one level (tombstones
-        dropped), *without* touching the queued accounting."""
-        queue = self._queues[level]
-        while queue:
-            entry = heapq.heappop(queue)
-            if entry[2].aborted:
-                self._tombstones[level] -= 1
-                continue
-            return entry
-        return None
-
     def _pop_live(self, level: PriorityLevel) -> Optional[StageKernel]:
         """Pop the earliest-deadline non-aborted stage of one level."""
-        entry = self._pop_live_entry(level)
-        if entry is None:
-            return None
-        kernel = entry[2]
-        self._unregister_queued(kernel)
-        return kernel
+        queue = self._queues[level]
+        while queue:
+            kernel = heapq.heappop(queue)[2]
+            if kernel.aborted:
+                self._tombstones[level] -= 1
+                continue
+            self._unregister_queued(kernel)
+            return kernel
+        return None
 
     def _pick_stream(self, level: PriorityLevel) -> Optional[CudaStream]:
         preferred = PREFERRED_CLASS[level]
@@ -494,14 +392,6 @@ class SimContext:
     def backlog_work(self) -> float:
         """Single-SM seconds of work resident + queued on this context."""
         self.stat_acct_queries += 1
-        if self.accounting == "scan":
-            total = sum(k.work_remaining for k in self.resident_kernels())
-            for queue in self._queues.values():
-                self.stat_scan_elems += len(queue)
-                total += sum(
-                    k.work_remaining for _, _, k in queue if not k.aborted
-                )
-            return total
         total = 0.0
         for kernel in self.resident_kernels():
             total += kernel.work_remaining
@@ -513,26 +403,10 @@ class SimContext:
         Assumes the backlog runs sequentially at the composite speedup its
         kernels achieve at the context's nominal allocation — an
         intentionally simple estimate, mirroring what an online scheduler
-        can actually compute cheaply.  The fast path sums the (frozen)
-        queued contributions once at enqueue time and only walks the
-        residents here.
+        can actually compute cheaply.  The (frozen) queued contributions
+        are summed once at enqueue time; only the residents are walked here.
         """
         self.stat_acct_queries += 1
-        if self.accounting == "scan":
-            kernels = self.resident_kernels() + [
-                k
-                for queue in self._queues.values()
-                for _, _, k in queue
-                if not k.aborted
-            ]
-            self.stat_scan_elems += sum(
-                len(queue) for queue in self._queues.values()
-            )
-            eta = now
-            for kernel in kernels:
-                speedup = max(kernel.curve.speedup(self.nominal_sms), 1e-9)
-                eta += kernel.setup_remaining + kernel.work_remaining / speedup
-            return eta
         eta = now
         for kernel in self.resident_kernels():
             eta += (

@@ -1,8 +1,8 @@
 """Array-backed columnar trace recorder.
 
 :class:`~repro.sim.trace.TraceRecorder` keeps one frozen dataclass plus
-one dict per event — convenient, but a million-event run (which the
-vectorised engine and open-system arrivals readily produce) costs
+one dict per event — convenient, but a million-event run (which long
+backlogged and open-system runs readily produce) costs
 hundreds of bytes per event and pushes large sweeps into
 ``record_trace=False`` blindness.  :class:`ColumnarTrace` stores the
 same stream as flat per-column arrays instead:
@@ -24,12 +24,11 @@ The class is drop-in API-compatible with :class:`TraceRecorder`
 ``RunConfig(trace_backend="columnar")``, and the payload round-trips to
 disk through :mod:`repro.sim.trace_io`.
 
-Everything here is stdlib-only so scalar simulation modes keep working
-without numpy.  When numpy *is* installed, :meth:`ColumnarTrace.column`
-and :meth:`ColumnarTrace.times` hand back packed ``ndarray`` snapshots
-(one buffer copy — a live view would export-lock the growable buffer
-and make the next ``record`` raise ``BufferError``) for vectorised
-analytics.
+Everything here is stdlib-only, so the simulator runs without numpy.
+When numpy *is* installed, :meth:`ColumnarTrace.column` and
+:meth:`ColumnarTrace.times` hand back packed ``ndarray`` snapshots (one
+buffer copy — a live view would export-lock the growable buffer and make
+the next ``record`` raise ``BufferError``) for array analytics.
 """
 
 from __future__ import annotations

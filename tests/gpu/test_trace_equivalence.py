@@ -1,27 +1,23 @@
-"""Trace equivalence: all three completion re-arm modes vs. each other.
+"""Trace equivalence: the incremental re-arm mode vs. the full oracle.
 
 The incremental device (``rearm="incremental"``, the default) re-arms a
 kernel's provisional completion event only when its rate revision moved and
 skips the allocation pass entirely when the resident set is untouched.  The
 reference mode (``rearm="full"``) cancels and re-pushes every resident
 kernel's event at every change point — the historical O(K)-per-settle
-behaviour.  The vectorised mode (``rearm="vectorised"``) runs the settle
-core as whole-array passes over a structure-of-arrays kernel table with a
-single sentinel completion event over per-slot ``(armed_time, stamp)``
-anchors (see :mod:`repro.gpu.table`).
+behaviour.
 
-These tests pin the optimisations' whole correctness claim: for every named
-scenario, scheduler variant, replication seed and jitter setting, all three
+These tests pin the optimisation's whole correctness claim: for every named
+scenario, scheduler variant, replication seed and jitter setting, both
 modes must produce **bit-identical** :class:`TraceRecorder` output (every
 record's exact float timestamp, kind and payload) and identical steady-state
 metrics.  The fast tier runs a one-seed slice on every push; the full
 acceptance matrix (all named scenarios x 3 seeds x jitter on/off x both
-scheduler families x all three modes) runs in the slow tier.
+scheduler families) runs in the slow tier.
 
-``TestCeilingBoundRearm`` additionally pins the vectorised mode's headline
-complexity win: in the ceiling-bound regime (aggregate cap saturated, every
-settle a uniform rescale) it pushes O(1) heap events per settle where the
-incremental mode re-arms every resident kernel.
+``TestCeilingBoundRearm`` additionally pins the incremental mode's cost in
+the ceiling-bound regime (aggregate cap saturated, every settle a uniform
+rescale), where it must re-arm every resident kernel.
 """
 
 import pytest
@@ -104,12 +100,8 @@ def canonical_trace(result):
 def assert_equivalent(point: GridPoint, scheduler_cls=None):
     incremental = run_traced(point, "incremental", scheduler_cls)
     reference = run_traced(point, "full", scheduler_cls)
-    vectorised = run_traced(point, "vectorised", scheduler_cls)
-    expected = canonical_trace(reference)
-    assert canonical_trace(incremental) == expected
-    assert canonical_trace(vectorised) == expected
+    assert canonical_trace(incremental) == canonical_trace(reference)
     assert incremental.metrics_summary() == reference.metrics_summary()
-    assert vectorised.metrics_summary() == reference.metrics_summary()
 
 
 def make_point(scenario, num_contexts, workload, variant, seed, jitter,
@@ -187,18 +179,16 @@ class TestSheddingEquivalence:
 
 
 class TestCeilingBoundRearm:
-    """The vectorised mode's headline complexity claim, pinned exactly.
+    """The ceiling-bound regime, pinned exactly.
 
     Setup: four contexts sized so summed grants equal the device
     (``pressure == 1``, ``device_scale == 1``) under a low aggregate
     ceiling that stays saturated throughout.  Every completion then
     changes *every* surviving kernel's rate — the aggregate drops, the
-    ceiling rescale factor moves, and the rescale is uniform.  The
+    ceiling rescale factor moves, and the rescale is uniform — so the
     incremental device must re-arm each survivor (O(K) heap pushes per
-    settle); the vectorised device re-anchors the shared virtual-time
-    axis in the table and refreshes its single sentinel event (O(1)
-    pushes per settle), which is the whole point of the rescale-aware
-    time base.
+    settle), and it must still complete kernels exactly as the full
+    reference mode does.
     """
 
     @staticmethod
@@ -240,14 +230,6 @@ class TestCeilingBoundRearm:
             deltas.append(engine.scheduled_count - before)
         return deltas, completions
 
-    def test_vectorised_rearms_o1_per_settle(self):
-        deltas, completions = self._completion_push_deltas("vectorised")
-        assert len(completions) == 16
-        # One sentinel refresh per settle, no matter how many survivors
-        # got rescaled; the final settle (empty table) pushes nothing.
-        assert all(delta <= 1 for delta in deltas)
-        assert sum(deltas) <= 16
-
     def test_incremental_rearms_every_survivor(self):
         deltas, completions = self._completion_push_deltas("incremental")
         assert len(completions) == 16
@@ -256,10 +238,9 @@ class TestCeilingBoundRearm:
         assert deltas == [16 - k for k in range(1, 17)]
 
     def test_ceiling_bound_modes_complete_identically(self):
-        _, vec = self._completion_push_deltas("vectorised")
         _, inc = self._completion_push_deltas("incremental")
         _, full = self._completion_push_deltas("full")
-        assert vec == inc == full
+        assert inc == full
 
 
 class _LegacyReleaseLoop:
@@ -317,7 +298,7 @@ class TestLegacyReleaseLoopEquivalence:
     """Periodic adapter vs. the legacy loop: bit-identical, no rejections."""
 
     @pytest.mark.parametrize("variant", ["sgprs_1.5", "naive"])
-    @pytest.mark.parametrize("rearm", ["incremental", "full", "vectorised"])
+    @pytest.mark.parametrize("rearm", ["incremental", "full"])
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
     def test_periodic_adapter_matches_legacy_loop(self, variant, rearm,
                                                   jitter):
