@@ -141,7 +141,8 @@ class BoundedQueue(AdmissionPolicy):
     and ``depth`` -> infinity behaves like :class:`AdmitAll`.  The
     backlog this admits is what the queue-depth metrics
     (:meth:`~repro.sim.metrics.MetricsCollector.mean_queue_depth` /
-    ``max_queue_depth``) observe.
+    ``max_queue_depth``) observe; they count it from the job events
+    (admitted releases, completions, sheds), not from this policy.
     """
 
     depth: int = 4

@@ -4,7 +4,9 @@
 arrival source (:mod:`repro.workloads.arrivals`; strictly periodic by
 default), admission control (:mod:`repro.core.admission`), per-release
 absolute deadline assignment (Section IV-B1), stage-by-stage execution on
-the GPU device, and metrics recording.  Concrete schedulers specialise
+the GPU device, and the job-event stream (:meth:`SchedulerBase._emit`)
+that the metrics and the trace are built from.  Concrete schedulers
+specialise
 
 * :meth:`SchedulerBase.select_context` — the context-assignment policy;
 * :meth:`SchedulerBase.admit_job` / the ``admission`` policy —
@@ -41,7 +43,7 @@ from repro.gpu.device import GpuDevice
 from repro.gpu.kernel import PriorityLevel, StageKernel
 from repro.gpu.mps import ReconfigurationPolicy, ZeroConfigPool
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import MetricsCollector, StageRecord
+from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import TraceRecorder
 from repro.sim.trace_kinds import (
     JOB_COMPLETE,
@@ -62,13 +64,11 @@ class StageInstance:
         job: "JobInstance",
         absolute_deadline: float,
         priority: PriorityLevel,
-        record: Optional[StageRecord] = None,
     ) -> None:
         self.spec = spec
         self.job = job
         self.absolute_deadline = absolute_deadline
         self.priority = priority
-        self.record = record
         self.kernel: Optional[StageKernel] = None
         self.finish_time: Optional[float] = None
 
@@ -118,7 +118,8 @@ class SchedulerBase:
     task_set:
         Offline-prepared tasks (stages, WCETs, virtual deadlines).
     metrics:
-        Collector for job/stage records.
+        The metrics sink: every job event (see :meth:`_emit`) is fed to
+        its ``record`` method, whether or not tracing is on.
     reconfig:
         Partition reconfiguration cost policy; defaults to the
         zero-configuration pool.
@@ -190,6 +191,9 @@ class SchedulerBase:
         self.metrics = metrics
         self.reconfig = reconfig if reconfig is not None else ZeroConfigPool()
         self.trace = trace
+        #: Where :meth:`_emit` sends each job event: the metrics, then
+        #: the trace recorder when tracing is on.
+        self._sinks = (metrics,) if trace is None else (metrics, trace)
         self.horizon = horizon
         self.work_jitter_cv = work_jitter_cv
         self.seed = seed
@@ -278,17 +282,15 @@ class SchedulerBase:
         self._job_counters[task.name] = index + 1
         now = self.engine.now
         job = JobInstance(task, index, now)
-        self.metrics.job_released(task.name, index, now, job.absolute_deadline)
-        if self.trace is not None:
-            # deadline rides along so streaming consumers
-            # (TraceMetricsAccumulator) can score DMR without the workload
-            self.trace.record(
-                now,
-                JOB_RELEASE,
-                task=task.name,
-                job=index,
-                deadline=job.absolute_deadline,
-            )
+        # deadline rides along so the metrics score DMR off the event
+        # alone, live or from a stored trace
+        self._emit(
+            now,
+            JOB_RELEASE,
+            task=task.name,
+            job=index,
+            deadline=job.absolute_deadline,
+        )
         previous = self._latest_job.get(task.name)
         decision = self._decide(job, previous)
         if decision is AdmissionDecision.ADMIT:
@@ -296,18 +298,25 @@ class SchedulerBase:
             self._latest_job[task.name] = job
             self._inflight[task.name] = self._inflight.get(task.name, 0) + 1
             self._inflight_total += 1
-            self.metrics.record_queue_depth(now, self._inflight_total)
             self._release_stage(job, 0, predecessor_missed=False)
         elif decision is AdmissionDecision.REJECT:
             job.aborted = True
-            self.metrics.job_rejected(task.name, index)
-            if self.trace is not None:
-                self.trace.record(now, JOB_REJECT, task=task.name, job=index)
+            self._emit(now, JOB_REJECT, task=task.name, job=index)
         else:
             job.aborted = True
-            if self.trace is not None:
-                self.trace.record(now, JOB_SKIP, task=task.name, job=index)
+            self._emit(now, JOB_SKIP, task=task.name, job=index)
         self._schedule_next_release(task)
+
+    def _emit(self, time: float, kind: str, **fields) -> None:
+        """Send one job event to every sink (metrics, then trace).
+
+        The one path every ``job_*`` kind takes, so the live metrics and
+        a replay of the trace see the same stream.  A refusal
+        (``job_skip``/``job_reject``) must directly follow its release:
+        the metrics infer admission from that adjacency.
+        """
+        for sink in self._sinks:
+            sink.record(time, kind, **fields)
 
     def _job_departed(self, job: JobInstance) -> None:
         """Take an admitted job out of the in-flight accounting once.
@@ -331,7 +340,6 @@ class SchedulerBase:
             )
         self._inflight[name] = count - 1
         self._inflight_total -= 1
-        self.metrics.record_queue_depth(self.engine.now, self._inflight_total)
 
     def _release_stage(
         self, job: JobInstance, stage_index: int, predecessor_missed: bool
@@ -344,11 +352,7 @@ class SchedulerBase:
             predecessor_missed and self.enable_medium_promotion,
         )
         deadline = job.stage_deadlines[stage_index]
-        record = self.metrics.stage_released(
-            job.task.name, job.index, stage_index, self.engine.now, deadline
-        )
-        record.priority = priority.name
-        stage = StageInstance(spec, job, deadline, priority, record)
+        stage = StageInstance(spec, job, deadline, priority)
         job.stages[stage_index] = stage
         work = spec.composite.base_time
         if self.work_jitter_cv > 0.0:
@@ -365,7 +369,6 @@ class SchedulerBase:
         stage.kernel = kernel
         context = self.select_context(kernel)
         kernel.setup_remaining = self.reconfig.setup_time(context, job.task.name)
-        record.context_id = context.context_id
         if self.trace is not None:
             self.trace.record(
                 self.engine.now,
@@ -381,19 +384,13 @@ class SchedulerBase:
         stage: StageInstance = kernel.payload
         now = self.engine.now
         stage.finish_time = now
-        if stage.record is not None:
-            stage.record.finish_time = now
         job = stage.job
         if job.aborted:
             return
         if stage.spec.index == job.task.num_stages - 1:
             job.completed = True
-            self.metrics.job_completed(job.task.name, job.index, now)
             self._job_departed(job)
-            if self.trace is not None:
-                self.trace.record(
-                    now, JOB_COMPLETE, task=job.task.name, job=job.index
-                )
+            self._emit(now, JOB_COMPLETE, task=job.task.name, job=job.index)
         else:
             missed = now > stage.absolute_deadline
             self._release_stage(job, stage.spec.index + 1, predecessor_missed=missed)
@@ -405,9 +402,9 @@ class SchedulerBase:
         """Shed a job: abort its pending/resident stages.
 
         All of the job's in-flight stages are aborted as one device change
-        point (a single settle pass), not one per stage.  The job's metrics
-        record stays unfinished, so it counts as a deadline miss once its
-        deadline passes.
+        point (a single settle pass), not one per stage.  The job stays
+        unfinished in the metrics, so it counts as a deadline miss once its
+        deadline arrives.
         """
         if job.finished:
             return
@@ -420,7 +417,4 @@ class SchedulerBase:
         if kernels:
             self.device.abort_many(kernels)
         self._job_departed(job)
-        if self.trace is not None:
-            self.trace.record(
-                self.engine.now, JOB_SHED, task=job.task.name, job=job.index
-            )
+        self._emit(self.engine.now, JOB_SHED, task=job.task.name, job=job.index)

@@ -4,7 +4,8 @@
 serial runner, the ``multiprocessing`` pool workers and the compatibility
 wrappers in :mod:`repro.workloads.scenarios` all call it.  It returns a
 :class:`PointResult` — a slim, picklable record of the steady-state
-metrics, deliberately *not* carrying the :class:`MetricsCollector` or
+metrics (:meth:`~repro.sim.metrics.MetricsCollector.summary`),
+deliberately *not* carrying the collector's per-job records or the
 trace (those can be megabytes per run and would dominate IPC cost).
 
 Traces can still leave the worker — sideways, not through IPC: pass

@@ -19,25 +19,28 @@ The open-system arrivals subsystem (:mod:`repro.workloads.arrivals` +
   throughput a deadline-sensitive consumer actually benefits from.
 * **Tail latency** — nearest-rank response-time percentiles (p99/p999).
 * **Queue depth** — time-weighted mean and max of the number of admitted
-  jobs in flight, fed by the scheduler's admission accounting.
+  jobs in flight.
 
-All are computed from per-job :class:`JobRecord` entries collected by a
-:class:`MetricsCollector`.  Stage-level records are kept as well so the
-scheduler's virtual-deadline behaviour can be analysed.
+Each metric has one definition, in :class:`MetricsCollector`, and one
+input: the job-event stream (the ``job_*`` kinds of
+:mod:`repro.sim.trace_kinds`).  The collector is a sink with the trace
+recorders' ``record(time, kind, **fields)`` signature.  The scheduler
+feeds it live, and :func:`metrics_from_trace` feeds it a recorded or
+stored trace, so a replayed trace scores exactly like the run that
+wrote it.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.trace_kinds import (
     JOB_COMPLETE,
+    JOB_KINDS,
     JOB_REJECT,
     JOB_RELEASE,
-    JOB_SHED,
     JOB_SKIP,
 )
 
@@ -46,9 +49,7 @@ def nearest_rank(sorted_values: List[float], fraction: float) -> Optional[float]
     """Ceil-based nearest-rank percentile of a pre-sorted sample.
 
     The value at 1-based rank ``ceil(fraction * n)`` (fraction 0 maps to
-    the minimum); ``None`` on an empty sample.  Shared by
-    :class:`MetricsCollector` and :class:`TraceMetricsAccumulator` so the
-    in-process and trace-streamed tails use one definition.
+    the minimum); ``None`` on an empty sample.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
@@ -82,12 +83,15 @@ class JobRecord:
     def missed(self, now: float) -> bool:
         """Whether the job's deadline is missed as of simulated time ``now``.
 
-        A job misses when it finished after its deadline, or has not finished
-        and its deadline already passed.
+        A job misses when it finished after its deadline, or has not
+        finished by the time its deadline arrives.  An unfinished job
+        whose deadline equals ``now`` has missed: the run is over at
+        ``now`` (``run_until`` fires every event at exactly the horizon),
+        so it can no longer finish in time.
         """
         if self.finish_time is not None:
             return self.finish_time > self.absolute_deadline
-        return now > self.absolute_deadline
+        return now >= self.absolute_deadline
 
     @property
     def response_time(self) -> Optional[float]:
@@ -97,28 +101,8 @@ class JobRecord:
         return self.finish_time - self.release_time
 
 
-@dataclass
-class StageRecord:
-    """Lifecycle of one stage instance within a job."""
-
-    task_name: str
-    job_index: int
-    stage_index: int
-    release_time: float
-    virtual_deadline: float
-    finish_time: Optional[float] = None
-    context_id: Optional[int] = None
-    priority: Optional[str] = None
-
-    def missed(self, now: float) -> bool:
-        """Whether the stage missed its virtual deadline as of ``now``."""
-        if self.finish_time is not None:
-            return self.finish_time > self.virtual_deadline
-        return now > self.virtual_deadline
-
-
 class MetricsCollector:
-    """Collects job/stage records and derives the paper's two metrics.
+    """Scores the job-event stream into the paper's metrics.
 
     Parameters
     ----------
@@ -126,6 +110,18 @@ class MetricsCollector:
         Jobs *released* before ``warmup`` seconds are excluded from every
         steady-state metric, so transients from an empty system do not
         bias the numbers.
+
+    **Input.**  :meth:`record` scores the ``job_*`` kinds and ignores
+    every other kind, so a full trace and one kept to ``job_*`` kinds
+    score the same.  Job events must arrive in time order, and a
+    ``job_release`` must carry its ``deadline``.  Admission is read off
+    the stream: a release's ``job_skip``/``job_reject`` directly follows
+    the release, so the collector holds one release pending and counts
+    it admitted once any other job event arrives.  The queue depth
+    counts a pending release as admitted, so it equals the scheduler's
+    in-flight count between events.  An event that contradicts the
+    stream so far (an unknown job, a second completion, a completion
+    after a rejection, a departure of a job not in flight) raises.
 
     **Warmup rule.**  One population underlies all per-job metrics: jobs
     with ``release_time >= warmup`` (release exactly at the boundary
@@ -142,90 +138,82 @@ class MetricsCollector:
     def __init__(self, warmup: float = 0.0) -> None:
         self.warmup = warmup
         self.jobs: List[JobRecord] = []
-        self.stages: List[StageRecord] = []
         self._job_index: Dict[Tuple[str, int], JobRecord] = {}
+        #: Admitted jobs in flight; its size is the queue depth.
+        self._open: Dict[Tuple[str, int], JobRecord] = {}
+        #: The release awaiting its admission outcome (see class docstring).
+        self._pending: Optional[JobRecord] = None
         #: Queue-depth step function: ``(time, depth)`` transitions in
-        #: non-decreasing time order (admitted jobs in flight system-wide).
+        #: non-decreasing time order.
         self._depth_steps: List[Tuple[float, int]] = []
+        self._last_time = -math.inf
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def job_released(
-        self, task_name: str, job_index: int, release_time: float, deadline: float
-    ) -> JobRecord:
-        """Record a new job release and return its record."""
-        record = JobRecord(
-            task_name=task_name,
-            job_index=job_index,
-            release_time=release_time,
-            absolute_deadline=deadline,
-        )
-        self.jobs.append(record)
-        self._job_index[(task_name, job_index)] = record
-        return record
-
-    def job_completed(self, task_name: str, job_index: int, finish_time: float) -> None:
-        """Record the completion of a previously released job."""
-        key = (task_name, job_index)
-        record = self._job_index.get(key)
-        if record is None:
-            raise KeyError(f"completion for unknown job {key}")
-        if record.finish_time is not None:
-            raise ValueError(f"job {key} completed twice")
-        if record.rejected:
-            raise ValueError(f"job {key} completed after being rejected")
-        record.finish_time = finish_time
-
-    def job_rejected(self, task_name: str, job_index: int) -> None:
-        """Mark a previously released job as refused by admission control.
-
-        The job stays in :attr:`jobs` (it *was* released) but flips into
-        the rejection accounting: it no longer counts as a decided job
-        for DMR and instead feeds :meth:`rejection_rate`.
-        """
-        key = (task_name, job_index)
-        record = self._job_index.get(key)
-        if record is None:
-            raise KeyError(f"rejection for unknown job {key}")
-        if record.finish_time is not None:
-            raise ValueError(f"job {key} rejected after completing")
-        record.rejected = True
-
-    def record_queue_depth(self, time: float, depth: int) -> None:
-        """Record a transition of the system-wide admitted-jobs count.
-
-        The scheduler calls this on every admission and departure;
-        successive calls must carry non-decreasing times (simulated time
-        never rewinds).
-        """
-        if depth < 0:
-            raise ValueError(f"queue depth must be >= 0, got {depth}")
-        if self._depth_steps and time < self._depth_steps[-1][0]:
+    def record(self, time: float, kind: str, **fields: Any) -> None:
+        """Score one event; the same signature as the trace recorders'."""
+        if kind not in JOB_KINDS:
+            return
+        if time < self._last_time:
             raise ValueError(
-                f"queue-depth transition at {time} precedes previous at "
-                f"{self._depth_steps[-1][0]}"
+                f"{kind} at {time} precedes the previous job event at "
+                f"{self._last_time}"
             )
-        self._depth_steps.append((time, depth))
+        self._last_time = time
+        key = (fields["task"], fields["job"])
+        if kind == JOB_SKIP or kind == JOB_REJECT:
+            job = self._pending
+            if job is None or (job.task_name, job.job_index) != key:
+                raise self._unexpected(kind, key, "awaiting admission")
+            self._pending = None
+            job.rejected = kind == JOB_REJECT
+            return
+        self._admit_pending()
+        if kind == JOB_RELEASE:
+            deadline = fields.get("deadline")
+            if deadline is None:
+                raise ValueError(
+                    f"job_release of {key} lacks the 'deadline' field; "
+                    "the trace predates the streaming-metrics format"
+                )
+            if key in self._job_index:
+                raise ValueError(f"job {key} released twice")
+            job = JobRecord(key[0], key[1], time, deadline)
+            self.jobs.append(job)
+            self._job_index[key] = job
+            self._pending = job
+            return
+        job = self._open.pop(key, None)
+        if job is None:
+            raise self._unexpected(kind, key, "in flight")
+        if kind == JOB_COMPLETE:
+            job.finish_time = time
+        self._depth_steps.append((time, len(self._open)))
 
-    def stage_released(
-        self,
-        task_name: str,
-        job_index: int,
-        stage_index: int,
-        release_time: float,
-        virtual_deadline: float,
-    ) -> StageRecord:
-        """Record a stage release and return its record."""
-        record = StageRecord(
-            task_name=task_name,
-            job_index=job_index,
-            stage_index=stage_index,
-            release_time=release_time,
-            virtual_deadline=virtual_deadline,
-        )
-        self.stages.append(record)
-        return record
+    def _admit_pending(self) -> None:
+        """Commit the held release as admitted (nothing refused it)."""
+        job = self._pending
+        if job is not None:
+            self._pending = None
+            self._open[(job.task_name, job.job_index)] = job
+            self._depth_steps.append((job.release_time, len(self._open)))
+
+    def _unexpected(self, kind: str, key: Tuple[str, int], state: str):
+        if key not in self._job_index:
+            return KeyError(f"{kind} for unknown job {key}")
+        return ValueError(f"{kind} for job {key}, which is not {state}")
+
+    @property
+    def queue_depth(self) -> int:
+        """Admitted jobs in flight, a pending release included."""
+        return len(self._open) + (self._pending is not None)
+
+    def _depth_history(self) -> List[Tuple[float, int]]:
+        """The depth step function, a pending release counted admitted."""
+        if self._pending is None:
+            return self._depth_steps
+        return self._depth_steps + [(self._pending.release_time, self.queue_depth)]
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -301,17 +289,6 @@ class MetricsCollector:
             name: missed / total for name, (total, missed) in counts.items()
         }
 
-    def stage_miss_rate(self, now: float) -> float:
-        """Fraction of decided stage instances that missed virtual deadlines."""
-        decided = [
-            s
-            for s in self.stages
-            if s.release_time >= self.warmup and s.virtual_deadline <= now
-        ]
-        if not decided:
-            return 0.0
-        return sum(1 for s in decided if s.missed(now)) / len(decided)
-
     def response_times(self) -> List[float]:
         """Response times of all completed post-warmup jobs, sorted."""
         values = [
@@ -381,19 +358,18 @@ class MetricsCollector:
     def mean_queue_depth(self, now: float) -> float:
         """Time-weighted mean admitted-jobs-in-flight over ``[warmup, now]``.
 
-        Derived from the step function recorded by
-        :meth:`record_queue_depth`; 0.0 when nothing was ever recorded or
-        the window is empty.
+        0.0 when no job was ever admitted or the window is empty.
         """
+        steps = self._depth_history()
         window = now - self.warmup
-        if window <= 0.0 or not self._depth_steps:
+        if window <= 0.0 or not steps:
             return 0.0
         weighted = 0.0
         # Depth in effect at the window start: the last transition at or
         # before warmup (0 jobs before the first transition).
         depth = 0
         start = self.warmup
-        for time, next_depth in self._depth_steps:
+        for time, next_depth in steps:
             if time <= self.warmup:
                 depth = next_depth
                 continue
@@ -413,7 +389,7 @@ class MetricsCollector:
         """
         peak = 0
         carried = 0
-        for time, depth in self._depth_steps:
+        for time, depth in self._depth_history():
             if time <= self.warmup:
                 carried = depth
             elif time <= now:
@@ -430,200 +406,29 @@ class MetricsCollector:
         """Total jobs completed (including during warmup)."""
         return sum(1 for job in self.jobs if job.finish_time is not None)
 
-
-class TraceMetricsAccumulator:
-    """Streaming FPS/DMR/tail/queue-depth accumulation from a trace stream.
-
-    Feeds on trace records (either recorder backend, or records decoded
-    straight off a :mod:`repro.sim.trace_io` file) in time order and
-    reproduces :class:`MetricsCollector`'s steady-state numbers without
-    ever materialising the trace: resident state is one pending
-    admission decision, the in-flight job dict, and packed per-job
-    arrays (response times, decided deadlines) — O(jobs), never
-    O(trace records).  Queue depth is integrated on the fly, so the
-    step function is not retained at all.
-
-    The accumulator consumes the ``job_*`` lifecycle kinds
-    (``job_release`` — which must carry the ``deadline`` field —
-    ``job_skip``, ``job_reject``, ``job_complete``, ``job_shed``) and
-    ignores every other kind, so it can be fed a full trace or a
-    kind-filtered one.  Admission is inferred from record adjacency: a
-    release's ``job_skip``/``job_reject`` is emitted before any other
-    record of that job, so a release followed by anything else was
-    admitted.
-
-    Usage::
-
-        acc = TraceMetricsAccumulator(warmup=2.0)
-        for record in read_trace(path):   # lazy views, one at a time
-            acc.feed(record)
-        summary = acc.finalize(now=duration)
-    """
-
-    def __init__(self, warmup: float = 0.0) -> None:
-        self.warmup = warmup
-        #: (task, job) -> (release_time, deadline) of admitted, in-flight jobs.
-        self._open: Dict[Tuple[str, int], Tuple[float, float]] = {}
-        #: The release awaiting its admission outcome (see class docstring).
-        self._pending: Optional[Tuple[Tuple[str, int], float, float]] = None
-        self._released_total = 0
-        self._completed_total = 0
-        self._released_post = 0
-        self._rejected_total = 0
-        self._rejected_post = 0
-        #: Response times of completed post-warmup-released jobs.
-        self._responses = array("d")
-        #: (deadline, missed) of completed post-warmup jobs, for DMR.
-        self._completed_deadlines = array("d")
-        self._completed_missed = array("b")
-        #: Deadlines of post-warmup jobs shed without completing.
-        self._unfinished_deadlines = array("d")
-        # queue-depth integration state
-        self._depth = 0
-        self._last_step = 0.0
-        self._carried = 0
-        self._weighted = 0.0
-        self._peak = 0
-        self._any_step = False
-
-    # ------------------------------------------------------------------
-    # Feeding
-    # ------------------------------------------------------------------
-    def feed(self, record) -> None:
-        """Consume one trace record (records must arrive in time order)."""
-        kind = record.kind
-        if kind == JOB_RELEASE:
-            self._resolve_pending()
-            key = (record.get("task"), record.get("job"))
-            deadline = record.get("deadline")
-            if deadline is None:
-                raise ValueError(
-                    "job_release record lacks the 'deadline' field; "
-                    "trace predates the streaming-metrics format"
-                )
-            self._released_total += 1
-            if record.time >= self.warmup:
-                self._released_post += 1
-            self._pending = (key, record.time, deadline)
-            return
-        if kind in (JOB_SKIP, JOB_REJECT):
-            key = (record.get("task"), record.get("job"))
-            if self._pending is not None and self._pending[0] == key:
-                _, release, deadline = self._pending
-                self._pending = None
-                if kind == JOB_REJECT:
-                    # rejections feed the rejection rate, never DMR
-                    self._rejected_total += 1
-                    if release >= self.warmup:
-                        self._rejected_post += 1
-                elif release >= self.warmup:
-                    # a source-skipped frame is a decided deadline miss
-                    self._unfinished_deadlines.append(deadline)
-                return
-        self._resolve_pending()
-        if kind == JOB_COMPLETE:
-            key = (record.get("task"), record.get("job"))
-            entry = self._open.pop(key, None)
-            self._completed_total += 1
-            self._step_depth(record.time, self._depth - 1)
-            if entry is not None and entry[0] >= self.warmup:
-                release, deadline = entry
-                self._responses.append(record.time - release)
-                self._completed_deadlines.append(deadline)
-                self._completed_missed.append(
-                    1 if record.time > deadline else 0
-                )
-        elif kind == JOB_SHED:
-            key = (record.get("task"), record.get("job"))
-            entry = self._open.pop(key, None)
-            self._step_depth(record.time, self._depth - 1)
-            if entry is not None and entry[0] >= self.warmup:
-                self._unfinished_deadlines.append(entry[1])
-
-    def _resolve_pending(self) -> None:
-        """Commit the held release as admitted (nothing refused it)."""
-        if self._pending is None:
-            return
-        key, release, deadline = self._pending
-        self._pending = None
-        self._open[key] = (release, deadline)
-        self._step_depth(release, self._depth + 1)
-
-    def _step_depth(self, time: float, depth: int) -> None:
-        depth = max(depth, 0)
-        if time > self.warmup:
-            start = max(self._last_step, self.warmup)
-            if time > start:
-                self._weighted += self._depth * (time - start)
-            self._peak = max(self._peak, depth)
-        else:
-            self._carried = depth
-        self._depth = depth
-        self._last_step = time
-        self._any_step = True
-
-    # ------------------------------------------------------------------
-    # Finalisation
-    # ------------------------------------------------------------------
-    def finalize(self, now: float) -> Dict[str, object]:
-        """Steady-state metrics at ``now`` (must be >= the last record).
-
-        Returns the same keys :meth:`RunResult.metrics_summary` ships
-        for the corresponding metrics; safe to call repeatedly (the
-        accumulated state is not consumed).
-        """
-        self._resolve_pending()
-        window = now - self.warmup
-        decided = missed = 0
-        for deadline, was_missed in zip(
-            self._completed_deadlines, self._completed_missed
-        ):
-            if deadline <= now:
-                decided += 1
-                missed += was_missed
-        for deadline in self._unfinished_deadlines:
-            if deadline <= now:
-                decided += 1
-                missed += 1
-        for release, deadline in self._open.values():
-            if release >= self.warmup and deadline <= now:
-                decided += 1
-                missed += 1
-        completed_post = len(self._responses)
-        good = sum(1 for was_missed in self._completed_missed if not was_missed)
-        responses = sorted(self._responses)
-        if window > 0.0 and self._any_step:
-            tail_start = max(self._last_step, self.warmup)
-            weighted = self._weighted + self._depth * max(
-                now - tail_start, 0.0
-            )
-            mean_depth = weighted / window
-        else:
-            mean_depth = 0.0
+    def summary(self, now: float) -> Dict[str, Any]:
+        """The scalar metrics at ``now``, keyed by their ``RunResult`` names."""
         return {
-            "total_fps": completed_post / window if window > 0.0 else 0.0,
-            "dmr": missed / decided if decided else 0.0,
-            "goodput": good / window if window > 0.0 else 0.0,
-            "rejection_rate": (
-                self._rejected_post / self._released_post
-                if self._released_post
-                else 0.0
-            ),
-            "released": self._released_total,
-            "completed": self._completed_total,
-            "rejected": self._rejected_total,
-            "p99_response": nearest_rank(responses, 0.99),
-            "p999_response": nearest_rank(responses, 0.999),
-            "mean_queue_depth": mean_depth,
-            "max_queue_depth": max(self._peak, self._carried),
+            "total_fps": self.total_fps(now),
+            "dmr": self.deadline_miss_rate(now),
+            "goodput": self.goodput(now),
+            "rejection_rate": self.rejection_rate(now),
+            "released": self.released_count(),
+            "completed": self.completed_count(),
+            "rejected": self.rejected_count(),
+            "p99_response": self.response_time_percentile(0.99),
+            "p999_response": self.response_time_percentile(0.999),
+            "mean_queue_depth": self.mean_queue_depth(now),
+            "max_queue_depth": self.max_queue_depth(now),
         }
 
 
 def metrics_from_trace(
     records: Iterable, warmup: float, now: float
-) -> Dict[str, object]:
-    """One-shot streaming accumulation over any trace-record iterable."""
-    accumulator = TraceMetricsAccumulator(warmup=warmup)
+) -> Dict[str, Any]:
+    """Score any trace-record iterable: :meth:`MetricsCollector.summary`."""
+    collector = MetricsCollector(warmup=warmup)
     for record in records:
-        accumulator.feed(record)
-    return accumulator.finalize(now)
+        if record.kind in JOB_KINDS:  # the rest would be ignored anyway
+            collector.record(record.time, record.kind, **record.fields)
+    return collector.summary(now)

@@ -3,7 +3,7 @@
 Every event category a :class:`~repro.sim.trace.TraceRecorder` ever sees
 is named here, once.  Emit sites (:mod:`repro.core.scheduler`,
 :mod:`repro.gpu.device`) and consume sites
-(:class:`~repro.sim.metrics.TraceMetricsAccumulator`,
+(:class:`~repro.sim.metrics.MetricsCollector`,
 :mod:`repro.analysis.timeline`) import these constants instead of
 spelling the strings out; the ``S001`` rule of ``python -m repro lint``
 (:mod:`repro.devtools.lint`) flags any bare kind literal inside
@@ -55,4 +55,9 @@ TRACE_KINDS = frozenset(
     value
     for name, value in sorted(globals().items())
     if name.isupper() and isinstance(value, str)
+)
+
+#: The job lifecycle kinds: the stream the metrics are scored from.
+JOB_KINDS = frozenset(
+    (JOB_RELEASE, JOB_SKIP, JOB_REJECT, JOB_COMPLETE, JOB_SHED)
 )

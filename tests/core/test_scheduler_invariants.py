@@ -331,20 +331,27 @@ class TestInflightAccounting:
             engine, RTX_2080_TI, build_contexts(pool, RTX_2080_TI),
             trace=trace,
         )
-        metrics = MetricsCollector(warmup=0.0)
-        depths = []
-        original = metrics.record_queue_depth
-
-        def sampling_record(now, depth):
-            depths.append(depth)
-            original(now, depth)
-
-        metrics.record_queue_depth = sampling_record
         scheduler = base(
-            engine, device, tasks, metrics,
+            engine, device, tasks, MetricsCollector(warmup=0.0),
             trace=trace, horizon=duration, admission=admission,
         )
-        return engine, scheduler, trace, depths
+        return engine, scheduler, trace
+
+    def _run(self, engine, scheduler, duration):
+        """Run to ``duration`` one engine step at a time.
+
+        After every step the queue depth the metrics derive from the job
+        events must equal the scheduler's in-flight ledger.  Returns the
+        depths seen.
+        """
+        scheduler.start()
+        depths = []
+        while engine.peek_time() is not None and engine.peek_time() <= duration:
+            engine.step()
+            depth = scheduler.metrics.queue_depth
+            assert depth == scheduler._inflight_total, engine.now
+            depths.append(depth)
+        return depths
 
     def _check_ledger(self, scheduler, depths):
         assert depths, "the run must exercise the in-flight ledger"
@@ -355,11 +362,10 @@ class TestInflightAccounting:
         )
 
     def test_never_negative_under_overload_skips_and_sheds(self):
-        engine, scheduler, trace, depths = self._build(
+        engine, scheduler, trace = self._build(
             num_tasks=72, duration=1.0, shedding=True
         )
-        scheduler.start()
-        engine.run_until(1.0)
+        depths = self._run(engine, scheduler, 1.0)
         kinds = trace.kinds()
         assert kinds.get("job_skip", 0) > 0
         assert kinds.get("job_shed", 0) > 0
@@ -368,19 +374,16 @@ class TestInflightAccounting:
     def test_never_negative_under_admission_rejects(self):
         from repro.core.admission import resolve_admission
 
-        engine, scheduler, trace, depths = self._build(
+        engine, scheduler, trace = self._build(
             num_tasks=72, duration=1.0,
             admission=resolve_admission("queue:depth=1"),
         )
-        scheduler.start()
-        engine.run_until(1.0)
+        depths = self._run(engine, scheduler, 1.0)
         assert trace.kinds().get("job_reject", 0) > 0
         self._check_ledger(scheduler, depths)
 
     def test_forged_departure_fails_loudly(self):
-        engine, scheduler, trace, depths = self._build(
-            num_tasks=1, duration=0.1
-        )
+        engine, scheduler, _ = self._build(num_tasks=1, duration=0.1)
         scheduler.start()
         engine.run_until(0.1)
         job = next(iter(scheduler._latest_job.values()))

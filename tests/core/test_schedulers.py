@@ -98,7 +98,7 @@ class TestJobLifecycle:
 
 
 class TestPriorities:
-    def test_last_stage_released_high(self):
+    def test_last_stage_gets_high_priority(self):
         trace = TraceRecorder()
         tasks = small_tasks(1, num_stages=3, period=0.5)
         engine, device, scheduler, metrics = build_sgprs(

@@ -1,8 +1,24 @@
-"""Unit tests for FPS / DMR metrics."""
+"""Unit tests for FPS / DMR metrics.
+
+The collector is fed job events through its one ingestion method,
+``record(time, kind, **fields)``; the helpers below spell the events.
+"""
 
 import pytest
 
-from repro.sim.metrics import JobRecord, MetricsCollector, StageRecord
+from repro.sim.metrics import JobRecord, MetricsCollector
+
+
+def release(metrics, task, job, time, deadline):
+    metrics.record(time, "job_release", task=task, job=job, deadline=deadline)
+
+
+def complete(metrics, task, job, time):
+    metrics.record(time, "job_complete", task=task, job=job)
+
+
+def reject(metrics, task, job, time):
+    metrics.record(time, "job_reject", task=task, job=job)
 
 
 class TestJobRecord:
@@ -19,6 +35,12 @@ class TestJobRecord:
         job = JobRecord("t", 0, 0.0, 1.0)
         assert job.missed(now=2.0)
 
+    def test_unfinished_at_deadline_is_missed(self):
+        # The run ends at ``now``; a job still running when its deadline
+        # arrives can no longer meet it.
+        job = JobRecord("t", 0, 0.0, 1.0)
+        assert job.missed(now=1.0)
+
     def test_unfinished_before_deadline_not_missed_yet(self):
         job = JobRecord("t", 0, 0.0, 1.0)
         assert not job.missed(now=0.5)
@@ -31,39 +53,29 @@ class TestJobRecord:
         assert JobRecord("t", 0, 0.0, 1.0).response_time is None
 
 
-class TestStageRecord:
-    def test_missed_when_late(self):
-        stage = StageRecord("t", 0, 2, 0.0, 0.5, finish_time=0.6)
-        assert stage.missed(now=10.0)
-
-    def test_not_missed_when_on_time(self):
-        stage = StageRecord("t", 0, 2, 0.0, 0.5, finish_time=0.4)
-        assert not stage.missed(now=10.0)
-
-
 class TestCollectorLifecycle:
     def test_release_then_complete(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 1.0)
-        metrics.job_completed("a", 0, 0.5)
+        release(metrics, "a", 0, 0.0, 1.0)
+        complete(metrics, "a", 0, 0.5)
         assert metrics.completed_count() == 1
 
     def test_unknown_completion_raises(self):
         metrics = MetricsCollector()
         with pytest.raises(KeyError):
-            metrics.job_completed("ghost", 0, 1.0)
+            complete(metrics, "ghost", 0, 1.0)
 
     def test_double_completion_raises(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 1.0)
-        metrics.job_completed("a", 0, 0.5)
+        release(metrics, "a", 0, 0.0, 1.0)
+        complete(metrics, "a", 0, 0.5)
         with pytest.raises(ValueError):
-            metrics.job_completed("a", 0, 0.6)
+            complete(metrics, "a", 0, 0.6)
 
     def test_released_count(self):
         metrics = MetricsCollector()
         for index in range(3):
-            metrics.job_released("a", index, float(index), float(index) + 1)
+            release(metrics, "a", index, float(index), float(index) + 1)
         assert metrics.released_count() == 3
 
 
@@ -71,16 +83,16 @@ class TestFps:
     def test_fps_counts_completions_per_second(self):
         metrics = MetricsCollector()
         for index in range(10):
-            metrics.job_released("a", index, index * 0.1, index * 0.1 + 1)
-            metrics.job_completed("a", index, index * 0.1 + 0.05)
+            release(metrics, "a", index, index * 0.1, index * 0.1 + 1)
+            complete(metrics, "a", index, index * 0.1 + 0.05)
         assert metrics.total_fps(now=2.0) == pytest.approx(5.0)
 
     def test_fps_excludes_warmup_completions(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 0.0, 10.0)
-        metrics.job_completed("a", 0, 0.5)  # inside warmup
-        metrics.job_released("a", 1, 1.0, 10.0)
-        metrics.job_completed("a", 1, 1.5)
+        release(metrics, "a", 0, 0.0, 10.0)
+        complete(metrics, "a", 0, 0.5)  # inside warmup
+        release(metrics, "a", 1, 1.0, 10.0)
+        complete(metrics, "a", 1, 1.5)
         assert metrics.total_fps(now=2.0) == pytest.approx(1.0)
 
     def test_fps_zero_window(self):
@@ -89,12 +101,12 @@ class TestFps:
 
     def test_per_task_fps(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 5.0)
-        metrics.job_completed("a", 0, 0.5)
-        metrics.job_released("b", 0, 0.0, 5.0)
-        metrics.job_completed("b", 0, 0.6)
-        metrics.job_released("b", 1, 1.0, 5.0)
-        metrics.job_completed("b", 1, 1.1)
+        release(metrics, "a", 0, 0.0, 5.0)
+        release(metrics, "b", 0, 0.0, 5.0)
+        complete(metrics, "a", 0, 0.5)
+        complete(metrics, "b", 0, 0.6)
+        release(metrics, "b", 1, 1.0, 5.0)
+        complete(metrics, "b", 1, 1.1)
         per_task = metrics.per_task_fps(now=2.0)
         assert per_task["a"] == pytest.approx(0.5)
         assert per_task["b"] == pytest.approx(1.0)
@@ -106,64 +118,62 @@ class TestDmr:
 
     def test_all_on_time(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 1.0)
-        metrics.job_completed("a", 0, 0.9)
+        release(metrics, "a", 0, 0.0, 1.0)
+        complete(metrics, "a", 0, 0.9)
         assert metrics.deadline_miss_rate(now=2.0) == 0.0
 
     def test_half_missed(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 1.0)
-        metrics.job_completed("a", 0, 0.9)
-        metrics.job_released("a", 1, 0.0, 1.0)
-        metrics.job_completed("a", 1, 1.5)
+        release(metrics, "a", 0, 0.0, 1.0)
+        release(metrics, "a", 1, 0.0, 1.0)
+        complete(metrics, "a", 0, 0.9)
+        complete(metrics, "a", 1, 1.5)
         assert metrics.deadline_miss_rate(now=2.0) == pytest.approx(0.5)
 
     def test_undecided_jobs_excluded(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 5.0)  # deadline not reached yet
+        release(metrics, "a", 0, 0.0, 5.0)  # deadline not reached yet
         assert metrics.deadline_miss_rate(now=1.0) == 0.0
 
     def test_unfinished_expired_job_counts_missed(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 1.0)
+        release(metrics, "a", 0, 0.0, 1.0)
         assert metrics.deadline_miss_rate(now=2.0) == 1.0
+
+    def test_unfinished_job_with_deadline_at_now_counts_missed(self):
+        # ``run_until`` fires every event at exactly the horizon, so an
+        # admitted job unfinished at ``now == deadline`` is a decided miss.
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        release(metrics, "a", 1, 0.0, 2.0)
+        complete(metrics, "a", 1, 0.5)
+        assert metrics.deadline_miss_rate(now=1.0) == 1.0
+        assert metrics.per_task_dmr(now=1.0) == {"a": 1.0}
 
     def test_warmup_jobs_excluded(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 0.5, 0.9)  # inside warmup, missed
-        metrics.job_released("a", 1, 1.5, 2.0)
-        metrics.job_completed("a", 1, 1.8)
+        release(metrics, "a", 0, 0.5, 0.9)  # inside warmup, missed
+        release(metrics, "a", 1, 1.5, 2.0)
+        complete(metrics, "a", 1, 1.8)
         assert metrics.deadline_miss_rate(now=3.0) == 0.0
 
     def test_per_task_dmr(self):
         metrics = MetricsCollector()
-        metrics.job_released("good", 0, 0.0, 1.0)
-        metrics.job_completed("good", 0, 0.5)
-        metrics.job_released("bad", 0, 0.0, 1.0)
+        release(metrics, "good", 0, 0.0, 1.0)
+        release(metrics, "bad", 0, 0.0, 1.0)
+        complete(metrics, "good", 0, 0.5)
         per_task = metrics.per_task_dmr(now=2.0)
         assert per_task["good"] == 0.0
         assert per_task["bad"] == 1.0
 
 
-class TestStageMetrics:
-    def test_stage_miss_rate(self):
-        metrics = MetricsCollector()
-        record = metrics.stage_released("a", 0, 0, 0.0, 0.5)
-        record.finish_time = 0.6
-        record2 = metrics.stage_released("a", 0, 1, 0.5, 1.0)
-        record2.finish_time = 0.9
-        assert metrics.stage_miss_rate(now=2.0) == pytest.approx(0.5)
-
-    def test_stage_miss_rate_empty(self):
-        assert MetricsCollector().stage_miss_rate(now=1.0) == 0.0
-
-
 class TestResponseTimes:
     def make_metrics(self):
         metrics = MetricsCollector()
-        for index, response in enumerate([0.1, 0.3, 0.2, 0.5, 0.4]):
-            metrics.job_released("a", index, 1.0, 2.0)
-            metrics.job_completed("a", index, 1.0 + response)
+        for index, _ in enumerate([0.1, 0.3, 0.2, 0.5, 0.4]):
+            release(metrics, "a", index, 1.0, 2.0)
+        for index, response in sorted(enumerate([0.1, 0.3, 0.2, 0.5, 0.4]), key=lambda p: p[1]):
+            complete(metrics, "a", index, 1.0 + response)
         return metrics
 
     def test_sorted_response_times(self):
@@ -197,9 +207,10 @@ class TestPercentileNearestRank:
 
     def make_metrics(self, responses):
         metrics = MetricsCollector()
-        for index, response in enumerate(responses):
-            metrics.job_released("a", index, 1.0, 2.0)
-            metrics.job_completed("a", index, 1.0 + response)
+        for index, _ in enumerate(responses):
+            release(metrics, "a", index, 1.0, 2.0)
+        for index, response in sorted(enumerate(responses), key=lambda p: p[1]):
+            complete(metrics, "a", index, 1.0 + response)
         return metrics
 
     def test_half_way_rank_rounds_up_not_half_even(self):
@@ -243,13 +254,13 @@ class TestWarmupBoundaries:
 
     def test_release_exactly_at_warmup_counts_for_dmr(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.0, 1.5)  # release == warmup
+        release(metrics, "a", 0, 1.0, 1.5)  # release == warmup
         assert metrics.deadline_miss_rate(2.0) == 1.0
         assert metrics.per_task_dmr(2.0) == {"a": 1.0}
 
     def test_release_just_before_warmup_excluded_from_dmr(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.0 - 1e-12, 1.5)
+        release(metrics, "a", 0, 1.0 - 1e-12, 1.5)
         assert metrics.deadline_miss_rate(2.0) == 0.0
         assert metrics.per_task_dmr(2.0) == {}
 
@@ -257,8 +268,8 @@ class TestWarmupBoundaries:
         # One population for every per-job metric: FPS counts the same
         # release >= warmup jobs DMR measures (boundary included).
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.0, 3.0)  # release == warmup
-        metrics.job_completed("a", 0, 1.5)
+        release(metrics, "a", 0, 1.0, 3.0)  # release == warmup
+        complete(metrics, "a", 0, 1.5)
         assert metrics.total_fps(2.0) == pytest.approx(1.0)
         assert metrics.per_task_fps(2.0) == {"a": pytest.approx(1.0)}
 
@@ -267,8 +278,8 @@ class TestWarmupBoundaries:
         # excluded from DMR; both now measure the same population, so
         # its completion after warmup contributes to neither.
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.0 - 1e-12, 3.0)
-        metrics.job_completed("a", 0, 1.5)  # finishes inside the window
+        release(metrics, "a", 0, 1.0 - 1e-12, 3.0)
+        complete(metrics, "a", 0, 1.5)  # finishes inside the window
         assert metrics.total_fps(2.0) == 0.0
         assert metrics.per_task_fps(2.0) == {}
         assert metrics.goodput(2.0) == 0.0
@@ -278,32 +289,32 @@ class TestWarmupBoundaries:
         # finish == warmup is not enough under the unified rule: the
         # release decides the population, and this one pre-dates warmup
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 0.5, 3.0)
-        metrics.job_completed("a", 0, 1.0)  # finish == warmup
+        release(metrics, "a", 0, 0.5, 3.0)
+        complete(metrics, "a", 0, 1.0)  # finish == warmup
         assert metrics.total_fps(2.0) == 0.0
         assert metrics.deadline_miss_rate(2.0) == 0.0
 
     def test_finish_exactly_at_now_counts_for_fps(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.5, 3.0)
-        metrics.job_completed("a", 0, 2.0)  # finish == now
+        release(metrics, "a", 0, 1.5, 3.0)
+        complete(metrics, "a", 0, 2.0)  # finish == now
         assert metrics.total_fps(2.0) == pytest.approx(1.0)
         assert metrics.per_task_fps(2.0) == {"a": pytest.approx(1.0)}
 
     def test_finish_just_after_now_excluded_from_fps(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.5, 3.0)
-        metrics.job_completed("a", 0, 2.0 + 1e-12)
+        release(metrics, "a", 0, 1.5, 3.0)
+        complete(metrics, "a", 0, 2.0 + 1e-12)
         assert metrics.total_fps(2.0) == 0.0
         assert metrics.per_task_fps(2.0) == {}
 
     def test_goodput_boundaries_match_fps_and_deadline(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.0, 2.0)
-        metrics.job_completed("a", 0, 2.0)  # finish == deadline == now
+        release(metrics, "a", 0, 1.0, 2.0)
+        release(metrics, "a", 1, 1.0, 1.2)
+        complete(metrics, "a", 1, 1.5)  # late: fps yes, goodput no
+        complete(metrics, "a", 0, 2.0)  # finish == deadline == now
         assert metrics.goodput(2.0) == pytest.approx(1.0)
-        metrics.job_released("a", 1, 1.0, 1.2)
-        metrics.job_completed("a", 1, 1.5)  # late: fps yes, goodput no
         assert metrics.total_fps(2.0) == pytest.approx(2.0)
         assert metrics.goodput(2.0) == pytest.approx(1.0)
 
@@ -311,19 +322,19 @@ class TestWarmupBoundaries:
 class TestRejectionAccounting:
     def test_rejected_jobs_leave_dmr_and_feed_rate(self):
         metrics = MetricsCollector(warmup=0.0)
-        metrics.job_released("a", 0, 0.1, 0.2)
-        metrics.job_rejected("a", 0)
-        metrics.job_released("a", 1, 0.3, 0.4)
+        release(metrics, "a", 0, 0.1, 0.2)
+        reject(metrics, "a", 0, 0.1)
+        release(metrics, "a", 1, 0.3, 0.4)
         assert metrics.deadline_miss_rate(1.0) == 1.0  # only job 1 counts
         assert metrics.rejection_rate(1.0) == 0.5
         assert metrics.rejected_count() == 1
 
     def test_rejection_rate_window_is_release_based(self):
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 0.5, 0.6)  # pre-warmup
-        metrics.job_rejected("a", 0)
-        metrics.job_released("a", 1, 1.0, 1.1)  # release == warmup
-        metrics.job_rejected("a", 1)
+        release(metrics, "a", 0, 0.5, 0.6)  # pre-warmup
+        reject(metrics, "a", 0, 0.5)
+        release(metrics, "a", 1, 1.0, 1.1)  # release == warmup
+        reject(metrics, "a", 1, 1.0)
         assert metrics.rejection_rate(2.0) == 1.0
         assert metrics.rejected_count() == 2  # warmup included in the raw count
 
@@ -334,60 +345,66 @@ class TestRejectionAccounting:
         counted; a release at exactly ``now`` is counted too (``now`` does
         not bound the population — an earlier implementation filtered
         ``release_time <= now``, which both dropped a release at exactly
-        ``now`` under float noise and disagreed with the trace-engine
-        accumulator's release-based population).
+        ``now`` under float noise and disagreed with the release-based
+        population of the metrics replayed from a trace).
         """
         metrics = MetricsCollector(warmup=1.0)
-        metrics.job_released("a", 0, 1.0, 2.0)  # release == warmup: counted
-        metrics.job_rejected("a", 0)
+        release(metrics, "a", 0, 1.0, 2.0)  # release == warmup: counted
+        reject(metrics, "a", 0, 1.0)
         assert metrics.rejection_rate(1.0) == 1.0  # release == now: counted
-        metrics.job_released("a", 1, 3.0, 4.0)  # admitted, not rejected
+        release(metrics, "a", 1, 3.0, 4.0)  # admitted, not rejected
         assert metrics.rejection_rate(3.0) == 0.5
         # now below every release: population is still release-based, not
-        # clock-based, matching TraceMetricsAccumulator.finalize().
+        # clock-based.
         assert metrics.rejection_rate(0.9) == 0.5
 
     def test_reject_unknown_job_raises(self):
         with pytest.raises(KeyError):
-            MetricsCollector().job_rejected("ghost", 0)
+            reject(MetricsCollector(), "ghost", 0, 0.0)
 
     def test_reject_after_completion_raises(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 1.0)
-        metrics.job_completed("a", 0, 0.5)
+        release(metrics, "a", 0, 0.0, 1.0)
+        complete(metrics, "a", 0, 0.5)
         with pytest.raises(ValueError):
-            metrics.job_rejected("a", 0)
+            reject(metrics, "a", 0, 0.5)
 
     def test_completion_after_rejection_raises(self):
         metrics = MetricsCollector()
-        metrics.job_released("a", 0, 0.0, 1.0)
-        metrics.job_rejected("a", 0)
+        release(metrics, "a", 0, 0.0, 1.0)
+        reject(metrics, "a", 0, 0.0)
         with pytest.raises(ValueError):
-            metrics.job_completed("a", 0, 0.5)
+            complete(metrics, "a", 0, 0.5)
 
 
 class TestQueueDepth:
     def test_validates_inputs(self):
         metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        metrics.record(0.0, "job_skip", task="a", job=0)  # never admitted
         with pytest.raises(ValueError):
-            metrics.record_queue_depth(0.0, -1)
-        metrics.record_queue_depth(1.0, 2)
+            metrics.record(0.5, "job_shed", task="a", job=0)  # depth -1
+        release(metrics, "a", 1, 1.0, 2.0)
         with pytest.raises(ValueError):
-            metrics.record_queue_depth(0.5, 1)  # time rewound
+            release(metrics, "a", 2, 0.5, 1.5)  # time rewound
 
     def test_time_weighted_mean(self):
         metrics = MetricsCollector(warmup=0.0)
-        metrics.record_queue_depth(0.0, 1)
-        metrics.record_queue_depth(1.0, 3)
-        metrics.record_queue_depth(3.0, 0)
+        release(metrics, "a", 0, 0.0, 9.0)  # depth 1 from 0
+        release(metrics, "b", 0, 1.0, 9.0)
+        release(metrics, "c", 0, 1.0, 9.0)  # depth 3 from 1
+        for task in "abc":
+            complete(metrics, task, 0, 3.0)  # depth 0 from 3
         # 1 for 1s, 3 for 2s, 0 for 1s over [0, 4] -> 7/4.
         assert metrics.mean_queue_depth(4.0) == pytest.approx(1.75)
         assert metrics.max_queue_depth(4.0) == 3
 
     def test_carries_depth_into_the_warmup_window(self):
         metrics = MetricsCollector(warmup=2.0)
-        metrics.record_queue_depth(0.0, 5)  # in effect when warmup starts
-        metrics.record_queue_depth(3.0, 1)
+        for job in range(5):
+            release(metrics, "a", job, 0.0, 9.0)  # in effect when warmup starts
+        for job in range(4):
+            complete(metrics, "a", job, 3.0)  # depth 1 from 3
         # 5 for [2, 3], 1 for [3, 4] -> 6/2.
         assert metrics.mean_queue_depth(4.0) == pytest.approx(3.0)
         assert metrics.max_queue_depth(4.0) == 5  # the carried-in peak
@@ -396,3 +413,79 @@ class TestQueueDepth:
         metrics = MetricsCollector()
         assert metrics.mean_queue_depth(1.0) == 0.0
         assert metrics.max_queue_depth(1.0) == 0
+
+
+class TestJobEventStream:
+    """The one ingestion path: ``record(time, kind, **fields)``."""
+
+    def test_other_kinds_are_ignored(self):
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        metrics.record(0.1, "stage_release", stage="a/j0/s0", context=0)
+        metrics.record(0.05, "allocation", pressure=1.0)  # no time check
+        complete(metrics, "a", 0, 0.5)
+        assert metrics.completed_count() == 1
+        assert metrics.deadline_miss_rate(now=2.0) == 0.0
+
+    def test_release_without_deadline_raises(self):
+        with pytest.raises(ValueError, match="deadline"):
+            MetricsCollector().record(0.0, "job_release", task="a", job=0)
+
+    def test_second_release_of_a_job_raises(self):
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="released twice"):
+            release(metrics, "a", 0, 0.1, 1.1)
+
+    def test_refusal_must_follow_its_release(self):
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        release(metrics, "b", 0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="awaiting admission"):
+            reject(metrics, "a", 0, 0.0)
+
+    def test_skipped_job_is_a_miss_and_never_in_flight(self):
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        metrics.record(0.0, "job_skip", task="a", job=0)
+        assert metrics.queue_depth == 0
+        assert metrics.deadline_miss_rate(now=2.0) == 1.0
+        assert metrics.rejection_rate(now=2.0) == 0.0
+        with pytest.raises(ValueError, match="not in flight"):
+            complete(metrics, "a", 0, 0.5)
+
+    def test_shed_job_leaves_flight_unfinished(self):
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        assert metrics.queue_depth == 1  # pending counts as admitted
+        metrics.record(0.4, "job_shed", task="a", job=0)
+        assert metrics.queue_depth == 0
+        assert metrics.completed_count() == 0
+        assert metrics.deadline_miss_rate(now=2.0) == 1.0
+        # in flight over [0, 0.4] of [0, 2]
+        assert metrics.mean_queue_depth(2.0) == pytest.approx(0.2)
+        with pytest.raises(ValueError, match="not in flight"):
+            complete(metrics, "a", 0, 0.5)
+
+    def test_pending_release_is_in_the_depth_history(self):
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 1.0, 9.0)
+        assert metrics.mean_queue_depth(2.0) == pytest.approx(0.5)
+        assert metrics.max_queue_depth(2.0) == 1
+        reject(metrics, "a", 0, 1.0)  # refused after all
+        assert metrics.mean_queue_depth(2.0) == 0.0
+        assert metrics.max_queue_depth(2.0) == 0
+
+    def test_summary_carries_the_run_result_scalars(self):
+        metrics = MetricsCollector()
+        release(metrics, "a", 0, 0.0, 1.0)
+        complete(metrics, "a", 0, 0.5)
+        summary = metrics.summary(2.0)
+        assert sorted(summary) == sorted([
+            "total_fps", "dmr", "goodput", "rejection_rate", "released",
+            "completed", "rejected", "p99_response", "p999_response",
+            "mean_queue_depth", "max_queue_depth",
+        ])
+        assert summary["total_fps"] == metrics.total_fps(2.0)
+        assert summary["dmr"] == metrics.deadline_miss_rate(2.0)
+        assert summary["p99_response"] == pytest.approx(0.5)
